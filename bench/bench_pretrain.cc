@@ -1,12 +1,13 @@
 // Pre-training benchmark: measures what the data-parallel sharded engine
-// (core/parallel_trainer.h) buys over the legacy single-replica step loop,
-// verifies its bitwise-determinism contract as a hard gate, and emits
-// BENCH_pretrain.json for CI tracking.
+// (core/parallel_trainer.h, the loop core::Pretrain runs) buys over a plain
+// single-replica step loop, verifies its bitwise-determinism contract as a
+// hard gate, and emits BENCH_pretrain.json for CI tracking.
 //
 // Three measurements:
-//  1. Optimizer-step throughput of the legacy loop (stage-1 + two encodes +
-//     central losses + backward + clip + AdamW on one replica) — the
-//     reference the engine must not regress when K = 1.
+//  1. Optimizer-step throughput of a bench-local single-replica loop
+//     (stage-1 + two encodes + losses + backward + clip + AdamW on one
+//     replica, no slicing, gather or reduce) — the reference the engine
+//     must not regress when K = 1. The JSON keeps calling it "legacy".
 //  2. The same work through the sharded engine at K = 1 / 2 / 4 replicas
 //     with a fixed grain decomposition: the K = 1 column prices the
 //     engine's bookkeeping (batch slicing, boundary gather/scatter, tree
@@ -52,7 +53,7 @@ namespace {
 using start::common::Rng;
 using start::common::Stopwatch;
 using start::core::ParallelTrainer;
-using start::core::ShardConfig;
+using start::core::PretrainConfig;
 using start::core::StartModel;
 
 constexpr uint64_t kSeed = 29;
@@ -128,9 +129,10 @@ std::unique_ptr<StartModel> MakeModel(const World& w) {
                                       w.transfer.get(), &rng);
 }
 
-/// Faithful reimplementation of the legacy single-replica optimizer step
-/// (core/pretrain.cc's non-sharded loop): stage 1 shared across both
-/// encodes, combined loss, backward, clip, fused AdamW.
+/// The single-replica reference step, local to this bench (core::Pretrain
+/// always runs the engine): stage 1 shared across both encodes, combined
+/// loss, backward, clip, fused AdamW — the same math as the engine with none
+/// of its slicing, boundary gather/scatter or tree reduce.
 double RunLegacy(const World& w, int64_t steps, double* sink) {
   auto model = MakeModel(w);
   model->SetTraining(true);
@@ -177,7 +179,7 @@ double RunSharded(const World& w, int num_shards, int64_t steps, double* sink,
                   std::vector<double>* losses_out = nullptr) {
   auto model = MakeModel(w);
   start::nn::AdamW opt(model->Parameters(), kLr);
-  ShardConfig config;
+  PretrainConfig config;
   config.num_shards = num_shards;
   config.shard_grain = kGrain;
   config.lambda = kLambda;
@@ -238,7 +240,7 @@ int main() {
   // Warm the allocator pools and code paths once before timing.
   RunSharded(w, 1, 2, &sink);
 
-  // 1-2. Throughput: legacy loop vs engine at K = 1 / 2 / 4.
+  // 1-2. Throughput: single-replica reference vs engine at K = 1 / 2 / 4.
   const int64_t kSteps = 10;
   const double legacy_s =
       BestOf2([&] { return RunLegacy(w, kSteps, &sink); });
@@ -317,7 +319,7 @@ int main() {
   //    rate. Both sides run on this host, so the ratio is host-independent.
   if (overhead_ratio < 0.75) {
     std::fprintf(stderr,
-                 "FAIL: engine K=1 runs at %.2fx of the legacy loop "
+                 "FAIL: engine K=1 runs at %.2fx of the single-replica loop "
                  "(floor 0.75)\n",
                  overhead_ratio);
     return 1;

@@ -65,9 +65,10 @@ struct TrainerState {
   std::vector<double> mask_sum;
   std::vector<double> con_sum;
   std::vector<int64_t> batch_count;
-  /// Dropout-stream cursor at save time (common::Rng::GetState). Pretrain
-  /// reseeds the stream per step, so this is diagnostic; consumers that draw
-  /// from a long-lived stream restore it to continue the exact sequence.
+  /// Single-stream dropout cursor (common::Rng::GetState) for consumers that
+  /// draw from a long-lived stream and restore it to continue the exact
+  /// sequence. Pretrain leaves it empty: its streams are per replica, in
+  /// `shard_rng`.
   std::vector<uint64_t> rng_state;
 
   // --- Shard topology (data-parallel engine, core/parallel_trainer.h) ------
@@ -75,7 +76,7 @@ struct TrainerState {
   /// count is a pure scheduling knob (K shards are bitwise-identical to 1),
   /// so a resume may legally use a different value — asserted by
   /// tests/parallel_trainer_test.cc.
-  int64_t num_shards = 0;  ///< 0 = legacy single-replica loop.
+  int64_t num_shards = 0;  ///< 0 = no topology recorded (pre-engine file).
   /// Micro-shard decomposition grain (samples per shard). Unlike num_shards
   /// this *defines* the gradient summation order, so it is folded into the
   /// plan hash: resuming under a different grain is refused.

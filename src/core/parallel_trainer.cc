@@ -18,7 +18,7 @@ using tensor::Tensor;
 namespace {
 
 /// Salts separating the engine's dropout streams from each other and from
-/// the loader's augmentation stream / the legacy loop's kDropoutStreamSalt.
+/// the loader's augmentation stream.
 constexpr uint64_t kShardDropoutSalt = 0x5aadd0f05eedULL;
 constexpr uint64_t kStage1DropoutSalt = 0x57a6e15eed01ULL;
 
@@ -107,7 +107,8 @@ struct ParallelTrainer::Grain {
   std::shared_ptr<std::vector<float>> proxy_grad;
 };
 
-ParallelTrainer::ParallelTrainer(StartModel* model, const ShardConfig& config)
+ParallelTrainer::ParallelTrainer(StartModel* model,
+                                 const PretrainConfig& config)
     : config_(config), primary_(model), replica_init_rng_(0xdeadbeef) {
   START_CHECK(model != nullptr);
   START_CHECK_GE(config_.num_shards, 1);

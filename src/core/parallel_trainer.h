@@ -7,13 +7,24 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/pretrain.h"
 #include "core/start_model.h"
 #include "data/loader.h"
 #include "nn/optimizer.h"
 
 namespace start::core {
 
-/// \brief Data-parallel sharded pre-training engine.
+/// \brief Per-optimizer-step telemetry.
+struct ShardStepStats {
+  double loss = 0.0;       ///< Combined central loss (Eq. 15 mix).
+  double mask_loss = 0.0;  ///< Central masked-recovery CE (0 when absent).
+  double con_loss = 0.0;   ///< Central NT-Xent (0 when absent).
+  int64_t grains = 0;      ///< Micro-shards the step decomposed into.
+};
+
+/// \brief Data-parallel sharded pre-training engine — the one training loop
+/// core::Pretrain drives (its default config is the K = 1, whole-batch-grain
+/// case).
 ///
 /// One optimizer step consumes a group of `accum_steps` micro-batches from
 /// the loader, decomposes them into fixed-size *micro-shards* ("grains" of
@@ -64,35 +75,15 @@ namespace start::core {
 /// Threading contract: Step() is single-consumer; replicas touch disjoint
 /// model instances; phases are separated by joins, so no tensor is read and
 /// written concurrently. The TSan CI job runs the sharded step.
-struct ShardConfig {
-  /// Model replicas (worker threads). Pure scheduling: any value yields
-  /// bitwise-identical training. 1 runs the grain set inline.
-  int num_shards = 1;
-  /// Trajectories per micro-shard; 0 = one grain per micro-batch (no intra-
-  /// batch decomposition — with num_shards > 1 parallelism then comes only
-  /// from accumulation groups). Summation-order-defining.
-  int64_t shard_grain = 0;
-  /// Micro-batches per optimizer step. Summation-order-defining.
-  int64_t accum_steps = 1;
-
-  // Loss knobs, mirroring core::PretrainConfig.
-  bool use_mask_task = true;
-  bool use_contrastive_task = true;
-  double lambda = 0.6;
-  float tau = 0.05f;
-  double grad_clip = 5.0;
-  /// Base seed of the per-(optimizer step, grain) dropout streams.
-  uint64_t seed = 7;
-};
-
-/// \brief Per-optimizer-step telemetry.
-struct ShardStepStats {
-  double loss = 0.0;       ///< Combined central loss (Eq. 15 mix).
-  double mask_loss = 0.0;  ///< Central masked-recovery CE (0 when absent).
-  double con_loss = 0.0;   ///< Central NT-Xent (0 when absent).
-  int64_t grains = 0;      ///< Micro-shards the step decomposed into.
-};
-
+///
+/// The engine reads its knobs straight from core::PretrainConfig:
+/// `num_shards` (replicas; 1 runs the grain set inline), `shard_grain`
+/// (trajectories per micro-shard; 0 = one grain per micro-batch, so with
+/// num_shards > 1 parallelism then comes only from accumulation groups),
+/// `accum_steps`, the loss knobs (`use_mask_task`, `use_contrastive_task`,
+/// `lambda`, `tau`, `grad_clip`) and `seed`, the base of the per-(optimizer
+/// step, grain) dropout streams. The data-pipeline, schedule and checkpoint
+/// fields are core::Pretrain's and are ignored here.
 class ParallelTrainer {
  public:
   /// `model` is the primary replica: it receives the reduced gradients and
@@ -101,7 +92,7 @@ class ParallelTrainer {
   /// from the model's own construction inputs and keeps them value-synced
   /// after every step. The trainer installs per-replica dropout generators
   /// (Module::SetDropoutRng) for its lifetime.
-  ParallelTrainer(StartModel* model, const ShardConfig& config);
+  ParallelTrainer(StartModel* model, const PretrainConfig& config);
   ~ParallelTrainer();
 
   ParallelTrainer(const ParallelTrainer&) = delete;
@@ -132,7 +123,7 @@ class ParallelTrainer {
   /// Runs fn(r) for every replica, on the pool when num_shards > 1.
   void RunOnReplicas(const std::function<void(int)>& fn);
 
-  ShardConfig config_;
+  PretrainConfig config_;
   StartModel* primary_;
   common::Rng replica_init_rng_;  ///< Dummy init source for replica builds.
   std::vector<std::unique_ptr<StartModel>> extra_replicas_;

@@ -7,6 +7,7 @@
 #include <queue>
 #include <tuple>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/crc32.h"
 
@@ -869,14 +870,14 @@ common::Status ChEngine::Save(const std::string& path) const {
   const uint32_t crc = common::Crc32(buf.data(), buf.size());
   AppendPod(&buf, crc);
 
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return common::Status::IOError("cannot open for write: " + path);
-  }
-  if (std::fwrite(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-    return common::Status::IOError("short write: " + path);
-  }
-  return common::Status::OK();
+  // A crash mid-save leaves the previous artifact intact (temp file, fsync,
+  // rename).
+  return common::WriteFileAtomically(path, [&](std::FILE* f) {
+    if (std::fwrite(buf.data(), 1, buf.size(), f) != buf.size()) {
+      return common::Status::IOError("short write: " + path);
+    }
+    return common::Status::OK();
+  });
 }
 
 common::Result<ChEngine> ChEngine::Load(const std::string& path,

@@ -110,7 +110,9 @@ class ChEngine {
   const ChOptions& options() const { return options_; }
 
   /// \brief Serializes the hierarchy (ranks + arc arena + up/down CSR) with a
-  /// CRC32 trailer and the source graph's Fingerprint() baked in.
+  /// CRC32 trailer and the source graph's Fingerprint() baked in. The
+  /// write is atomic (common::WriteFileAtomically): a failed or interrupted
+  /// save leaves any previous artifact at `path` untouched.
   common::Status Save(const std::string& path) const;
 
   /// \brief Loads a hierarchy previously Save()d. Refuses artifacts whose

@@ -22,8 +22,15 @@ common::Status CityRouter::OpenCity(const std::string& city,
   auto lane = std::make_shared<Lane>();
   lane->graph = graph;
   lane->config = config;
+  // CityConfig borrows its encoder and index (they outlive the router), so
+  // the lane's bundle points at them through non-owning aliasing pointers.
+  EngineBundle engine{
+      std::shared_ptr<const FrozenEncoder>(std::shared_ptr<void>(),
+                                           config.encoder),
+      std::shared_ptr<IndexInterface>(std::shared_ptr<void>(), config.index),
+      nullptr};
   lane->pipeline = std::make_unique<StreamPipeline>(
-      config.encoder, graph->network.get(), config.index, config.stream);
+      std::move(engine), graph->network.get(), config.stream);
 
   std::unique_lock<std::shared_mutex> lock(mu_);
   const auto [it, inserted] = lanes_.emplace(city, std::move(lane));

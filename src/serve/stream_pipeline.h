@@ -176,16 +176,6 @@ class StreamPipeline {
   StreamPipeline(EngineBundle engine, const roadnet::RoadNetwork* net,
                  const StreamConfig& config = {},
                  const common::FaultHooks* hooks = nullptr);
-
-  /// Raw-pointer convenience overload: wraps the components in non-owning
-  /// shared_ptrs, so `encoder`, `net`, `index` (and `drift`/`hooks` when
-  /// given) must outlive the pipeline — including any in-flight items when
-  /// the bundle is later retired by SwapEngine().
-  StreamPipeline(const FrozenEncoder* encoder,
-                 const roadnet::RoadNetwork* net, IndexInterface* index,
-                 const StreamConfig& config = {},
-                 DriftMonitor* drift = nullptr,
-                 const common::FaultHooks* hooks = nullptr);
   ~StreamPipeline();
 
   StreamPipeline(const StreamPipeline&) = delete;

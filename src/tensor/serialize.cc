@@ -1,9 +1,7 @@
 #include "tensor/serialize.h"
 
+#include "common/atomic_file.h"
 #include "common/crc32.h"
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -53,8 +51,10 @@ bool ReadBytes(std::FILE* f, void* p, size_t n) {
 
 /// Appends raw bytes to the record buffer being assembled.
 void Append(std::vector<uint8_t>* buf, const void* p, size_t n) {
-  const auto* bytes = static_cast<const uint8_t*>(p);
-  buf->insert(buf->end(), bytes, bytes + n);
+  if (n == 0) return;
+  const size_t at = buf->size();
+  buf->resize(at + n);
+  std::memcpy(buf->data() + at, p, n);
 }
 
 template <typename T>
@@ -231,24 +231,19 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
 
 common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
                           const RecordBundle& bundle) {
-  // Write to a sibling temp file and rename over the target, so a crash
-  // mid-save (the very event checkpointing exists to survive) never
+  // Written through a fsynced sibling temp file renamed over the target, so
+  // a crash mid-save (the very event checkpointing exists to survive) never
   // destroys the previous good checkpoint.
-  const std::string tmp_path = path + ".tmp";
-  {
-    FilePtr f(std::fopen(tmp_path.c_str(), "wb"));
-    if (f == nullptr) {
-      return common::Status::IOError("cannot open for write: " + tmp_path);
-    }
+  return common::WriteFileAtomically(path, [&](std::FILE* f) {
     const uint64_t count = bundle.tensors.size() + bundle.doubles.size() +
                            bundle.ints.size() + bundle.uints.size() +
                            bundle.qtensors.size() + bundle.halfs.size() +
                            bundle.ints32.size();
-    if (!WriteBytes(f.get(), kMagic, 4) ||
-        !WriteBytes(f.get(), &kVersion, sizeof(kVersion)) ||
-        !WriteBytes(f.get(), &meta_tag, sizeof(meta_tag)) ||
-        !WriteBytes(f.get(), &count, sizeof(count))) {
-      return common::Status::IOError("write header failed: " + tmp_path);
+    if (!WriteBytes(f, kMagic, 4) ||
+        !WriteBytes(f, &kVersion, sizeof(kVersion)) ||
+        !WriteBytes(f, &meta_tag, sizeof(meta_tag)) ||
+        !WriteBytes(f, &count, sizeof(count))) {
+      return common::Status::IOError("write header failed: " + path);
     }
     std::vector<uint8_t> buf;
     for (const auto& [name, t] : bundle.tensors) {
@@ -266,23 +261,19 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
       const Tensor dense = t.is_contiguous() ? t : t.Detach();
       Append(&buf, dense.data(),
              static_cast<size_t>(dense.numel()) * sizeof(float));
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      START_RETURN_IF_ERROR(WriteRecord(f, &buf, name));
     }
     for (const auto& [name, v] : bundle.doubles) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayF64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f, &buf, name, kArrayF64, v));
     }
     for (const auto& [name, v] : bundle.ints) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayI64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f, &buf, name, kArrayI64, v));
     }
     for (const auto& [name, v] : bundle.uints) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayU64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f, &buf, name, kArrayU64, v));
     }
     for (const auto& [name, v] : bundle.ints32) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayI32, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f, &buf, name, kArrayI32, v));
     }
     for (const auto& [name, q] : bundle.qtensors) {
       if (q.rows <= 0 || q.cols <= 0 ||
@@ -297,7 +288,7 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
       AppendValue(&buf, static_cast<uint64_t>(q.scales.size()));
       Append(&buf, q.scales.data(), q.scales.size() * sizeof(float));
       Append(&buf, q.data.data(), q.data.size());
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      START_RETURN_IF_ERROR(WriteRecord(f, &buf, name));
     }
     for (const auto& [name, t] : bundle.halfs) {
       if (!t.defined()) {
@@ -314,36 +305,10 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
       for (int64_t i = 0; i < dense.numel(); ++i) {
         AppendValue(&buf, F32ToF16(src[i]));
       }
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      START_RETURN_IF_ERROR(WriteRecord(f, &buf, name));
     }
-    if (std::fflush(f.get()) != 0) {
-      return common::Status::IOError("flush failed: " + tmp_path);
-    }
-    // Durability half of the atomic replace: rename() orders metadata, not
-    // data blocks — without this fsync a power cut shortly after the rename
-    // can leave the target pointing at an empty file, destroying the
-    // previous good checkpoint (the exact event this dance exists for).
-    if (fsync(fileno(f.get())) != 0) {
-      return common::Status::IOError("fsync failed: " + tmp_path);
-    }
-  }  // closes the file before the rename
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return common::Status::IOError("rename " + tmp_path + " -> " + path +
-                                   " failed");
-  }
-  // Persist the rename itself (the directory entry). Best effort: some
-  // filesystems refuse O_RDONLY fsync on directories; the data-block fsync
-  // above already rules out the destructive failure mode.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dir_fd = open(dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    (void)fsync(dir_fd);
-    (void)close(dir_fd);
-  }
-  return common::Status::OK();
+    return common::Status::OK();
+  });
 }
 
 common::Result<LoadedBundle> LoadBundle(const std::string& path) {

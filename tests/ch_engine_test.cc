@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "roadnet/csr_graph.h"
 #include "roadnet/shortest_path.h"
@@ -340,6 +343,42 @@ TEST(ChEngineTest, LoadRejectsCorruptArtifact) {
   const auto loaded = ChEngine::Load(path, &g);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), common::StatusCode::kInvalidArgument);
+}
+
+// Save goes through a temp file renamed over the target: when the temp file
+// cannot even be created, Save must fail and the previous artifact must stay
+// byte-identical (a direct overwrite would have replaced it).
+TEST(ChEngineTest, FailedSaveLeavesPreviousArtifactIntact) {
+  const testutil::TempDir dir;
+  const std::string path = dir.path() + "/ch.bin";
+  const auto read_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const RoadNetwork net = MakeCity(5, 1);
+  const CsrGraph g = CsrGraph::FromNetworkFreeFlow(net);
+  ASSERT_TRUE(ChEngine::Build(&g).Save(path).ok());
+  const std::string before = read_bytes();
+  ASSERT_FALSE(before.empty());
+
+  // A directory squatting on the temp name makes it impossible to create.
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+  const RoadNetwork other_net = MakeCity(6, 2);
+  const CsrGraph other = CsrGraph::FromNetworkFreeFlow(other_net);
+  const ChEngine replacement = ChEngine::Build(&other);
+  const common::Status st = replacement.Save(path);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), common::StatusCode::kIOError);
+  EXPECT_EQ(read_bytes(), before);
+  const auto loaded = ChEngine::Load(path, &g);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  // Once the temp name is free again the same save lands.
+  std::filesystem::remove(path + ".tmp");
+  ASSERT_TRUE(replacement.Save(path).ok());
+  EXPECT_NE(read_bytes(), before);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(ChEngineTest, LoadRejectsMissingFile) {

@@ -180,8 +180,8 @@ TEST_F(CityRouterTest, TravelTimeMatchesDirectDijkstraPerCity) {
     const auto& net = *city->net;
     auto weight = [&](int64_t v) { return net.FreeFlowTravelTime(v); };
     const int64_t n = net.num_segments();
-    for (const auto [src, dst] : {std::pair<int64_t, int64_t>{0, n - 1},
-                                  {n / 2, n / 3}, {1, n - 2}}) {
+    for (const auto& [src, dst] : {std::pair<int64_t, int64_t>{0, n - 1},
+                                   {n / 2, n / 3}, {1, n - 2}}) {
       const auto got = router.TravelTimeSeconds(name, src, dst);
       const auto want = roadnet::ShortestPath(net, src, dst, weight);
       ASSERT_EQ(got.ok(), want.has_value()) << name << " " << src << "->"

@@ -398,7 +398,9 @@ TEST(HnswIndexTest, EfFloorKnobRestoresRecallPastSeventyFivePercentDead) {
        std::vector<IndexInterface*>{&relaxed, &capped, &exact}) {
     ASSERT_TRUE(index->AddBatch(SequentialIds(n), rows).ok());
     for (int64_t id = 0; id < n; ++id) {  // 80% tombstones
-      if (id % 5 != 0) ASSERT_TRUE(index->Remove(id).ok());
+      if (id % 5 != 0) {
+        ASSERT_TRUE(index->Remove(id).ok());
+      }
     }
   }
   ASSERT_DOUBLE_EQ(relaxed.DeadFraction(), 0.8);
@@ -427,7 +429,9 @@ TEST(HnswIndexTest, CompactedCopyIsBitwiseEqualToFreshBuildOverLiveRows) {
   HnswIndex churned(dim, hc);
   ASSERT_TRUE(churned.AddBatch(SequentialIds(n), rows).ok());
   for (int64_t id = 0; id < n; ++id) {
-    if (id % 2 == 0) ASSERT_TRUE(churned.Remove(id).ok());
+    if (id % 2 == 0) {
+      ASSERT_TRUE(churned.Remove(id).ok());
+    }
   }
   ASSERT_DOUBLE_EQ(churned.DeadFraction(), 0.5);
 

@@ -151,7 +151,7 @@ TEST_F(ParallelTrainerTest, ShardCountIsBitwiseNeutral) {
   auto reference = MakeModel(kSeed);
   nn::AdamW ref_opt(reference->Parameters(), 1e-3);
   {
-    ShardConfig config;
+    PretrainConfig config;
     config.num_shards = 1;
     config.shard_grain = 2;
     config.seed = kSeed;
@@ -167,7 +167,7 @@ TEST_F(ParallelTrainerTest, ShardCountIsBitwiseNeutral) {
     SCOPED_TRACE("num_shards=" + std::to_string(k));
     auto model = MakeModel(kSeed);
     nn::AdamW opt(model->Parameters(), 1e-3);
-    ShardConfig config;
+    PretrainConfig config;
     config.num_shards = k;
     config.shard_grain = 2;
     config.seed = kSeed;
@@ -198,11 +198,11 @@ TEST_F(ParallelTrainerTest, WholeBatchGrainsStayBitwiseNeutral) {
   auto a = MakeModel(kSeed);
   auto b = MakeModel(kSeed);
   nn::AdamW opt_a(a->Parameters(), 1e-3), opt_b(b->Parameters(), 1e-3);
-  ShardConfig config;
+  PretrainConfig config;
   config.shard_grain = 0;
   config.accum_steps = 2;
   config.seed = kSeed;
-  ShardConfig config_k3 = config;
+  PretrainConfig config_k3 = config;
   config_k3.num_shards = 3;
   ParallelTrainer trainer_a(a.get(), config);
   ParallelTrainer trainer_b(b.get(), config_k3);
@@ -232,12 +232,12 @@ TEST_F(ParallelTrainerTest, TaskAblationsStayBitwiseNeutral) {
     auto a = MakeModel(kSeed);
     auto b = MakeModel(kSeed);
     nn::AdamW opt_a(a->Parameters(), 1e-3), opt_b(b->Parameters(), 1e-3);
-    ShardConfig config;
+    PretrainConfig config;
     config.shard_grain = 2;
     config.use_mask_task = use_mask;
     config.use_contrastive_task = !use_mask;
     config.seed = kSeed;
-    ShardConfig config_k3 = config;
+    PretrainConfig config_k3 = config;
     config_k3.num_shards = 3;
     ParallelTrainer trainer_a(a.get(), config);
     ParallelTrainer trainer_b(b.get(), config_k3);
@@ -269,12 +269,12 @@ TEST_F(ParallelTrainerTest, TwoMicroBatchesMatchOneDoubleBatchBitwise) {
   nn::AdamW opt_whole(whole->Parameters(), 1e-3);
   nn::AdamW opt_split(split->Parameters(), 1e-3);
 
-  ShardConfig whole_config;
+  PretrainConfig whole_config;
   whole_config.num_shards = 2;
   whole_config.shard_grain = kGrain;
   whole_config.accum_steps = 1;
   whole_config.seed = kSeed;
-  ShardConfig split_config = whole_config;
+  PretrainConfig split_config = whole_config;
   split_config.num_shards = 3;  // also cross-checks shard neutrality
   split_config.accum_steps = 2;
 
@@ -424,19 +424,20 @@ TEST_F(ShardedPretrainTest, ResumeAfterCompletedRunWithPartialFinalGroup) {
   ExpectParamsBitwiseEqual(*model, *resumed);
 }
 
-// A legacy (pre-engine) checkpoint must not silently resume under the
-// sharded engine — its floating-point stream differs, so the plan hash
+// A checkpoint written under one grain decomposition must not silently
+// resume under another: the default whole-batch grain (shard_grain = 0) and
+// shard_grain = 2 sum gradients in different orders, so the plan hash
 // refuses and the run restarts from scratch (still training successfully).
-TEST_F(ShardedPretrainTest, LegacyCheckpointRefusedBySharded) {
+TEST_F(ShardedPretrainTest, GrainZeroCheckpointRefusedUnderGrainTwo) {
   TempDir dir;
-  const std::string ckpt = dir.File("legacy.sttn");
+  const std::string ckpt = dir.File("grain0.sttn");
   auto a = MakeModel(5);
-  PretrainConfig legacy;
-  legacy.epochs = 2;
-  legacy.batch_size = 8;
-  legacy.seed = 21;
-  legacy.checkpoint_path = ckpt;
-  Run(legacy, a.get());
+  PretrainConfig grain0;
+  grain0.epochs = 2;
+  grain0.batch_size = 8;
+  grain0.seed = 21;
+  grain0.checkpoint_path = ckpt;
+  Run(grain0, a.get());
 
   auto b = MakeModel(6);
   PretrainConfig sharded = EngineConfig();
@@ -446,29 +447,54 @@ TEST_F(ShardedPretrainTest, LegacyCheckpointRefusedBySharded) {
   const PretrainStats stats = Run(sharded, b.get());
   ASSERT_EQ(stats.epoch_loss.size(), 2u);
   EXPECT_GT(stats.epoch_loss.front(), 0.0);
+
+  // Refused means trained from scratch: bitwise the run that never saw the
+  // checkpoint.
+  auto fresh = MakeModel(6);
+  PretrainConfig scratch = EngineConfig();
+  scratch.num_shards = 2;
+  const PretrainStats fresh_stats = Run(scratch, fresh.get());
+  ExpectParamsBitwiseEqual(*fresh, *b);
+  ExpectStatsBitwiseEqual(fresh_stats, stats);
 }
 
-// The checkpoint records the shard topology and per-replica RNG cursors.
+// The checkpoint records the shard topology and per-replica RNG cursors —
+// for the default config too, which runs the engine with one replica and
+// one whole-batch grain.
 TEST_F(ShardedPretrainTest, CheckpointCarriesShardTopology) {
-  TempDir dir;
-  const std::string ckpt = dir.File("topology.sttn");
-  auto model = MakeModel(9);
-  PretrainConfig config = EngineConfig();
-  config.num_shards = 3;
-  config.accum_steps = 1;
-  config.checkpoint_path = ckpt;
-  config.max_steps = 2;
-  Run(config, model.get());
+  PretrainConfig sharded = EngineConfig();
+  sharded.num_shards = 3;
+  sharded.accum_steps = 1;
+  PretrainConfig defaults = EngineConfig();
+  defaults.shard_grain = 0;
+  ASSERT_EQ(defaults.num_shards, 1);
+  ASSERT_EQ(defaults.accum_steps, 1);
+  struct Case {
+    PretrainConfig config;
+    int64_t num_shards, shard_grain, accum_steps;
+  };
+  for (const Case& c : {Case{sharded, 3, 2, 1}, Case{defaults, 1, 0, 1}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(c.num_shards));
+    TempDir dir;
+    const std::string ckpt = dir.File("topology.sttn");
+    auto model = MakeModel(9);
+    PretrainConfig config = c.config;
+    config.checkpoint_path = ckpt;
+    config.max_steps = 2;
+    Run(config, model.get());
 
-  auto probe = MakeModel(9);
-  nn::AdamW opt(probe->Parameters(), 1e-3);
-  auto state = LoadTrainingCheckpoint(ckpt, probe.get(), &opt,
-                                      /*expected_config_hash=*/0);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  EXPECT_EQ(state->num_shards, 3);
-  EXPECT_EQ(state->shard_grain, 2);
-  EXPECT_EQ(state->accum_steps, 1);
-  EXPECT_EQ(state->shard_rng.size(), 3u * 6u);  // 6 state words per shard
+    auto probe = MakeModel(9);
+    nn::AdamW opt(probe->Parameters(), 1e-3);
+    auto state = LoadTrainingCheckpoint(ckpt, probe.get(), &opt,
+                                        /*expected_config_hash=*/0);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state->num_shards, c.num_shards);
+    EXPECT_EQ(state->shard_grain, c.shard_grain);
+    EXPECT_EQ(state->accum_steps, c.accum_steps);
+    // 6 state words per shard.
+    EXPECT_EQ(state->shard_rng.size(),
+              static_cast<size_t>(c.num_shards) * 6u);
+  }
 }
 
 }  // namespace

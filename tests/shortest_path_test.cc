@@ -103,7 +103,9 @@ TEST(KspTest, ReturnsSortedDistinctSimplePaths) {
   std::set<std::vector<int64_t>> unique;
   for (size_t i = 0; i < paths.size(); ++i) {
     // Sorted by cost.
-    if (i > 0) EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    }
     // Distinct.
     EXPECT_TRUE(unique.insert(paths[i].path).second);
     // Simple (loopless).

@@ -47,8 +47,8 @@ namespace start::testutil {
 /// Knobs of the standard tiny world; the defaults reproduce the fixture the
 /// core/pretrain/eval tests were all hand-rolling.
 struct TinyWorldOptions {
-  int64_t grid_width = 5;
-  int64_t grid_height = 5;
+  int32_t grid_width = 5;
+  int32_t grid_height = 5;
   int64_t num_drivers = 8;
   int64_t num_days = 8;
   double trips_per_driver_day = 4.0;
